@@ -162,8 +162,17 @@ std::size_t CrossbarConfig::slices() const {
 Crossbar::Crossbar(const CrossbarConfig& config) : config_(config) {
   RERAMDL_CHECK_GT(config.rows, 0u);
   RERAMDL_CHECK_GT(config.cols, 0u);
-  RERAMDL_CHECK_GE(config.weight_bits, 1u);
-  RERAMDL_CHECK_GE(config.input_bits, 1u);
+  // Both widths feed LinearQuantizer (2^bits - 1 levels in an int64) and
+  // the slice shifts in program(); reject them here, naming the field,
+  // before any shift can overflow.
+  auto check_bits = [](const char* name, std::size_t bits) {
+    if (bits >= 1 && bits <= 31) return;
+    std::ostringstream msg;
+    msg << "CrossbarConfig." << name << " must be in [1, 31], got " << bits;
+    throw CheckError(msg.str());
+  };
+  check_bits("weight_bits", config.weight_bits);
+  check_bits("input_bits", config.input_bits);
   (void)config_.slices();  // validates divisibility
 }
 
@@ -187,6 +196,9 @@ void Crossbar::program(const Tensor& weights, double w_max,
   RERAMDL_CHECK_LT(config_.spare_cols, config_.cols);
   RERAMDL_CHECK_LE(c_, config_.data_cols());
   RERAMDL_CHECK_GT(w_max, 0.0);
+  // A negative (or NaN) tolerance no readback can meet would retry even
+  // exact cells; pulse_cells relies on exact cells never retrying.
+  if (opts.write_verify) RERAMDL_CHECK_GE(opts.verify_tolerance, 0.0);
   w_max_ = w_max;
 
   const std::size_t num_slices = config_.slices();
@@ -195,61 +207,57 @@ void Crossbar::program(const Tensor& weights, double w_max,
       static_cast<double>((std::uint64_t{1} << bpc) - 1);
   const device::LinearQuantizer wq(config_.weight_bits, w_max);
 
-  // Resolve the fault population: explicit params win; a VariationModel
-  // still carrying the deprecated stuck-at rates seeds a legacy map.
-  device::FaultMapParams fp = opts.faults;
-  if (!fp.enabled() && opts.variation != nullptr &&
-      opts.variation->has_legacy_faults())
-    fp = opts.variation->legacy_fault_params();
-  fault_map_ = device::FaultMap(fp);
-  if (fp.enabled())
+  fault_map_ = device::FaultMap(opts.faults);
+  if (opts.faults.enabled())
     fault_map_.bind(num_slices, bpc, config_.rows, config_.cols);
 
-  col_phys_.assign(c_, kNoCol);
+  col_phys_.resize(c_);
   phys_owner_.assign(config_.cols, kNoCol);
   for (std::size_t j = 0; j < c_; ++j) {
     col_phys_[j] = j;
     phys_owner_[j] = j;
   }
 
-  levels_.assign(num_slices,
-                 std::vector<std::vector<double>>(2, std::vector<double>(r_ * c_, 0.0)));
-
-  // Initial programming, one logical column at a time onto its primary
-  // bitline. Columns that still hold defective cells after write-verify
-  // are queued for spare-column remapping.
-  std::vector<std::size_t> defective_cols;
-  std::vector<std::vector<std::size_t>> col_defects(c_);
-  for (std::size_t j = 0; j < c_; ++j) {
-    ColumnProgram cp = program_column(weights, wq, j, j, slice_max, opts);
-    store_column(cp, j);
-    if (!cp.defects.empty()) {
-      defective_cols.push_back(j);
-      col_defects[j] = std::move(cp.defects);
-    }
-  }
+  // Initial programming of every logical column onto its primary bitline:
+  // targets row-major into the flat planes, then the pulse loop. Cells that
+  // stay defective after write-verify come back grouped by ascending
+  // column (the visit order is column-major), ready for remapping.
+  const std::size_t plane = r_ * c_;
+  levels_.resize(num_slices * 2 * plane);
+  fill_targets(weights, wq, 0, c_, levels_.data(), c_, plane);
+  std::vector<Defect> defects;
+  pulse_cells(0, c_, 0, levels_.data(), c_, plane, slice_max, opts, defects);
   stats_.programmed_cells += r_ * c_ * num_slices * 2;
 
   // Spare-column remapping: re-program each defective column onto the next
   // unused spare bitline; a spare that itself verifies defective is burned
-  // and the next one is tried. The trial lives in a ColumnProgram until it
-  // verifies clean, so a failed attempt never disturbs the array state.
+  // and the next one is tried. The trial lives in its own column buffer
+  // until it verifies clean, so a failed attempt never disturbs the array.
   std::uint64_t remapped_cells = 0;
   std::size_t next_spare = config_.data_cols();
-  for (std::size_t j : defective_cols) {
+  std::vector<double> trial;
+  std::vector<Defect> trial_defects;
+  for (std::size_t d0 = 0, d1 = 0; d0 < defects.size(); d0 = d1) {
+    const std::size_t j = defects[d0].col;
+    while (d1 < defects.size() && defects[d1].col == j) ++d1;
     bool repaired = false;
     while (next_spare < config_.cols) {
       const std::size_t phys = next_spare++;
-      ColumnProgram trial = program_column(weights, wq, j, phys, slice_max, opts);
+      trial.resize(num_slices * 2 * r_);
+      fill_targets(weights, wq, j, 1, trial.data(), 1, r_);
+      trial_defects.clear();
+      pulse_cells(j, 1, phys, trial.data(), 1, r_, slice_max, opts,
+                  trial_defects);
       stats_.programmed_cells += r_ * num_slices * 2;
-      if (!trial.defects.empty()) continue;
-      store_column(trial, j);
+      if (!trial_defects.empty()) continue;
+      for (std::size_t pl = 0; pl < num_slices * 2; ++pl)
+        for (std::size_t i = 0; i < r_; ++i)
+          levels_[pl * plane + i * c_ + j] = trial[pl * r_ + i];
       phys_owner_[col_phys_[j]] = kNoCol;
       col_phys_[j] = phys;
       phys_owner_[phys] = j;
       remapped_cells += r_ * num_slices * 2;
       ++stats_.spare_cols_used;
-      col_defects[j].clear();
       repaired = true;
       break;
     }
@@ -257,7 +265,7 @@ void Crossbar::program(const Tensor& weights, double w_max,
     switch (opts.degrade) {
       case DegradePolicy::kFailFast: {
         std::ostringstream msg;
-        msg << "crossbar column " << j << " has " << col_defects[j].size()
+        msg << "crossbar column " << j << " has " << d1 - d0
             << " unrepairable cell(s) and spares are exhausted ("
             << config_.spare_cols << " configured, " << stats_.spare_cols_used
             << " used); degrade policy is fail_fast";
@@ -266,17 +274,13 @@ void Crossbar::program(const Tensor& weights, double w_max,
       case DegradePolicy::kClamp:
         // Known-defective cells contribute zero: models the peripheral
         // subtractor gating out bitline segments flagged by verify.
-        for (std::size_t cell : col_defects[j]) {
-          const std::size_t s = cell / (2 * r_);
-          const std::size_t p = (cell / r_) % 2;
-          const std::size_t i = cell % r_;
-          levels_[s][p][i * c_ + j] = 0.0;
-        }
+        for (std::size_t d = d0; d < d1; ++d)
+          levels_[defects[d].plane * plane + defects[d].row * c_ + j] = 0.0;
         break;
       case DegradePolicy::kBestEffort:
         break;
     }
-    stats_.defective_cells += col_defects[j].size();
+    stats_.defective_cells += d1 - d0;
   }
   stats_.cells_remapped += remapped_cells;
 
@@ -320,36 +324,88 @@ void Crossbar::program(const Tensor& weights, double w_max,
   cur_spares_consumed_ = next_spare - config_.data_cols();
 }
 
-Crossbar::ColumnProgram Crossbar::program_column(
-    const Tensor& weights, const device::LinearQuantizer& wq, std::size_t j,
-    std::size_t phys_col, double slice_max, const ProgramOptions& opts) {
+void Crossbar::fill_targets(const Tensor& weights,
+                            const device::LinearQuantizer& wq, std::size_t j0,
+                            std::size_t ncols, double* lv,
+                            std::size_t row_stride,
+                            std::size_t plane_stride) const {
   const std::size_t num_slices = config_.slices();
   const std::size_t bpc = config_.cell.bits_per_cell;
-  ColumnProgram cp;
-  cp.levels.assign(num_slices * 2 * r_, 0.0);
+  const std::uint64_t mask = (std::uint64_t{1} << bpc) - 1;
   for (std::size_t i = 0; i < r_; ++i) {
-    const std::int64_t q = wq.quantize(weights.at(i, j));
-    const std::size_t polarity = q < 0 ? 1 : 0;
-    const std::uint64_t mag = static_cast<std::uint64_t>(q < 0 ? -q : q);
-    const auto slices = device::bit_slice(mag, bpc, num_slices);
-    for (std::size_t s = 0; s < num_slices; ++s) {
-      for (std::size_t p = 0; p < 2; ++p) {
-        // Both polarities' cells exist physically; only the used one holds a
-        // non-zero target, but variation / faults can disturb either.
-        const double target = (p == polarity) ? static_cast<double>(slices[s]) : 0.0;
-        const device::FaultType fault =
-            fault_map_.enabled()
-                ? fault_map_.stuck_fault(s, p, i, phys_col)
-                : device::FaultType::kNone;
-        bool defective = false;
-        const double level = program_cell(fault, target, slice_max, opts, defective);
-        const std::size_t cell = (s * 2 + p) * r_ + i;
-        cp.levels[cell] = level;
-        if (defective) cp.defects.push_back(cell);
+    const float* wrow = weights.data() + i * c_ + j0;
+    double* row = lv + i * row_stride;
+    for (std::size_t jr = 0; jr < ncols; ++jr) {
+      const std::int64_t q = wq.quantize(wrow[jr]);
+      // Both polarities' cells exist physically; only the used one holds a
+      // non-zero target, but variation / faults can disturb either.
+      const std::size_t used = q < 0 ? 1 : 0;
+      std::uint64_t mag = static_cast<std::uint64_t>(q < 0 ? -q : q);
+      for (std::size_t s = 0; s < num_slices; ++s, mag >>= bpc) {
+        double* cell = row + s * 2 * plane_stride + jr;
+        cell[used * plane_stride] = static_cast<double>(mag & mask);
+        cell[(1 - used) * plane_stride] = 0.0;
       }
     }
   }
-  return cp;
+}
+
+void Crossbar::pulse_cells(std::size_t j0, std::size_t ncols,
+                           std::size_t phys0, double* lv,
+                           std::size_t row_stride, std::size_t plane_stride,
+                           double slice_max, const ProgramOptions& opts,
+                           std::vector<Defect>& defects) {
+  // Visit order is column, row, slice, polarity — the order a
+  // VariationModel's draws are assigned to cells, which every varied
+  // result depends on. Cell key = (jr * r_ + i) * planes + (s * 2 + p).
+  const std::size_t planes = config_.slices() * 2;
+  const std::size_t per_col = r_ * planes;
+
+  // The region's stuck cells, sorted into visit order (the map keeps them
+  // in physical (slice, polarity, row, bitline) order).
+  struct Stuck {
+    std::size_t key;
+    device::FaultType type;
+  };
+  std::vector<Stuck> stuck;
+  if (fault_map_.enabled()) {
+    for (const auto& f : fault_map_.stuck_faults()) {
+      std::size_t s = 0, p = 0, i = 0, phys = 0;
+      fault_map_.decode(f.cell, s, p, i, phys);
+      if (i >= r_ || phys < phys0 || phys >= phys0 + ncols) continue;
+      stuck.push_back({(phys - phys0) * per_col + i * planes + s * 2 + p,
+                       f.type});
+    }
+    std::sort(stuck.begin(), stuck.end(),
+              [](const Stuck& a, const Stuck& b) { return a.key < b.key; });
+  }
+
+  auto pulse = [&](std::size_t key, device::FaultType fault) {
+    const std::size_t pl = key % planes;
+    const std::size_t i = key / planes % r_;
+    const std::size_t jr = key / per_col;
+    double& level = lv[pl * plane_stride + i * row_stride + jr];
+    bool defective = false;
+    level = program_cell(fault, level, slice_max, opts, defective);
+    if (defective) defects.push_back({j0 + jr, pl, i});
+  };
+
+  // Without variation a healthy cell's first pulse reads back its target
+  // exactly (error 0 <= verify_tolerance: no retry, never defective), so
+  // pulsing it is the identity — only stuck cells can differ. A
+  // VariationModel draws noise for every cell, so then every cell is
+  // pulsed, in the visit order above.
+  if (opts.variation == nullptr) {
+    for (const Stuck& c : stuck) pulse(c.key, c.type);
+    return;
+  }
+  std::size_t next = 0;
+  for (std::size_t key = 0; key < ncols * per_col; ++key) {
+    device::FaultType fault = device::FaultType::kNone;
+    if (next < stuck.size() && stuck[next].key == key)
+      fault = stuck[next++].type;
+    pulse(key, fault);
+  }
 }
 
 double Crossbar::program_cell(device::FaultType fault, double target,
@@ -384,12 +440,19 @@ double Crossbar::program_cell(device::FaultType fault, double target,
   return best;
 }
 
-void Crossbar::store_column(const ColumnProgram& cp, std::size_t j) {
-  const std::size_t num_slices = levels_.size();
-  for (std::size_t s = 0; s < num_slices; ++s)
-    for (std::size_t p = 0; p < 2; ++p)
-      for (std::size_t i = 0; i < r_; ++i)
-        levels_[s][p][i * c_ + j] = cp.levels[(s * 2 + p) * r_ + i];
+void Crossbar::reset() {
+  r_ = c_ = 0;
+  w_max_ = 0.0;
+  levels_.clear();
+  w_eff_.clear();
+  fault_map_ = device::FaultMap();
+  col_phys_.clear();
+  phys_owner_.clear();
+  stats_ = CrossbarStats{};
+  age_seconds_ = 0.0;
+  cumulative_drift_ = 1.0;
+  program_passes_ = 0;
+  cur_stuck_cells_ = cur_defective_cells_ = cur_spares_consumed_ = 0;
 }
 
 std::size_t Crossbar::inject_at(std::uint64_t step) {
@@ -407,7 +470,8 @@ std::size_t Crossbar::inject_at(std::uint64_t step) {
     if (fault_map_.stuck_fault(f.slice, f.polarity, f.row, f.col) !=
         device::FaultType::kNone)
       continue;
-    double& level = levels_[f.slice][f.polarity][f.row * c_ + j];
+    double& level =
+        levels_[((f.slice * 2 + f.polarity) * r_ + f.row) * c_ + j];
     const long long cur = std::clamp(
         static_cast<long long>(std::llround(level)), 0ll, max_level);
     level = static_cast<double>(cur ^ (1ll << f.bit));
@@ -431,24 +495,23 @@ void Crossbar::rebuild_w_eff() {
   // Each element folds its slices in ascending order — the same add
   // sequence compute_reference evaluates inline, so the collapsed path is
   // bit-identical to the slice walk even for drifted / varied levels.
-  const std::size_t num_slices = levels_.size();
+  const std::size_t plane = r_ * c_;
+  const std::size_t num_slices = config_.slices();
   const std::size_t bpc = config_.cell.bits_per_cell;
-  w_eff_.assign(r_ * c_, 0.0);
+  w_eff_.assign(plane, 0.0);
+  double* __restrict w = w_eff_.data();
   for (std::size_t s = 0; s < num_slices; ++s) {
     const double weight = static_cast<double>(std::uint64_t{1} << (s * bpc));
-    const auto& pos = levels_[s][0];
-    const auto& neg = levels_[s][1];
-    for (std::size_t e = 0; e < r_ * c_; ++e)
-      w_eff_[e] += weight * (pos[e] - neg[e]);
+    const double* __restrict pos = levels_.data() + s * 2 * plane;
+    const double* __restrict neg = pos + plane;
+    for (std::size_t e = 0; e < plane; ++e) w[e] += weight * (pos[e] - neg[e]);
   }
 }
 
 void Crossbar::apply_drift(double factor) {
   RERAMDL_CHECK_GT(factor, 0.0);
   RERAMDL_CHECK_LE(factor, 1.0);
-  for (auto& slice : levels_)
-    for (auto& polarity : slice)
-      for (auto& level : polarity) level *= factor;
+  for (double& level : levels_) level *= factor;
   cumulative_drift_ *= factor;
   rebuild_w_eff();
 }
@@ -663,8 +726,9 @@ std::vector<float> Crossbar::compute_reference(const std::vector<float>& x,
   const device::LinearQuantizer xq(config_.input_bits, x_max);
   const device::LinearQuantizer wq(config_.weight_bits, w_max_);
   const double scale = wq.step() * xq.step();
-  const std::size_t num_slices = levels_.size();
+  const std::size_t num_slices = config_.slices();
   const std::size_t bpc = config_.cell.bits_per_cell;
+  const std::size_t plane = r_ * c_;
 
   std::vector<double> acc(c_, 0.0);
   for (std::size_t i = 0; i < r_; ++i) {
@@ -676,7 +740,8 @@ std::vector<float> Crossbar::compute_reference(const std::vector<float>& x,
       for (std::size_t s = 0; s < num_slices; ++s) {
         const double weight =
             static_cast<double>(std::uint64_t{1} << (s * bpc));
-        w += weight * (levels_[s][0][base + j] - levels_[s][1][base + j]);
+        const double* pos = levels_.data() + s * 2 * plane + base;
+        w += weight * (pos[j] - pos[plane + j]);
       }
       acc[j] += xi * w;
     }
@@ -692,8 +757,9 @@ void Crossbar::compute_bit_serial(const std::int64_t* x_int, double* acc) {
   // Emulates the spike driver + I&F + counter + shift-add path cycle by
   // cycle: one wordline spike phase per (input bit, sign phase); per column
   // the integrated current is counted with saturation at 2^counter_bits - 1.
-  const std::size_t num_slices = levels_.size();
+  const std::size_t num_slices = config_.slices();
   const std::size_t bpc = config_.cell.bits_per_cell;
+  const std::size_t plane = r_ * c_;
   const double counter_max =
       static_cast<double>((std::uint64_t{1} << config_.counter_bits) - 1);
 
@@ -709,8 +775,8 @@ void Crossbar::compute_bit_serial(const std::int64_t* x_int, double* acc) {
       for (std::size_t s = 0; s < num_slices; ++s) {
         const double slice_weight =
             static_cast<double>(std::uint64_t{1} << (s * bpc));
-        const auto& pos = levels_[s][0];
-        const auto& neg = levels_[s][1];
+        const double* pos = levels_.data() + s * 2 * plane;
+        const double* neg = pos + plane;
         // Integrate bitline currents for this spike cycle.
         std::fill(col_pos, col_pos + c_, 0.0);
         std::fill(col_neg, col_neg + c_, 0.0);

@@ -36,13 +36,17 @@
 // *logical* column layout regardless of which physical bitline backs them,
 // so every compute path (collapsed, batched, bit-serial, reference) is
 // untouched by remapping — the fault-free path stays bit-identical to a
-// crossbar with no fault machinery configured.
+// crossbar with no fault machinery configured. program() writes every
+// cell's target straight into the flat level buffer and pulses only the
+// cells whose readback can differ from it: the stuck cells, or every cell
+// when a VariationModel draws noise (DESIGN.md §11).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "device/fault_map.hpp"
 #include "device/quantizer.hpp"
 #include "device/reram_cell.hpp"
@@ -81,12 +85,12 @@ enum class DegradePolicy : unsigned char {
 // options reproduce the historical program(weights, w_max) behavior exactly.
 struct ProgramOptions {
   device::VariationModel* variation = nullptr;
-  // Fault population; !faults.enabled() means no injected faults (a
-  // VariationModel carrying legacy stuck-at rates still seeds a map).
+  // Fault population; !faults.enabled() means no injected faults.
   device::FaultMapParams faults;
   // Closed-loop program-and-verify: read back each programmed cell and
   // re-program with a compensated target while |readback - target| exceeds
-  // verify_tolerance (in level units), up to max_program_retries retries.
+  // verify_tolerance (in level units, >= 0), up to max_program_retries
+  // retries.
   bool write_verify = false;
   std::size_t max_program_retries = 3;
   double verify_tolerance = 0.49;  // just under half an LSB
@@ -152,6 +156,11 @@ struct CrossbarStats {
 
 class Crossbar {
  public:
+  // Storage of the collapsed weights (effective_weights()).
+  using WeightBuffer = AlignedVector<double>;
+
+  // Rejects weight_bits / input_bits outside [1, 31] (the quantizers'
+  // range) and a weight_bits that bits_per_cell does not divide.
   explicit Crossbar(const CrossbarConfig& config);
 
   // Program a weight matrix [r, c] (r <= rows, c <= data_cols()); values
@@ -165,6 +174,11 @@ class Crossbar {
   // and the degradation policy. See ProgramOptions.
   void program(const Tensor& weights, double w_max,
                const ProgramOptions& opts);
+
+  // Return to the just-constructed state — unprogrammed, zero stats, no
+  // program passes — keeping the level and W_eff allocations for the next
+  // program().
+  void reset();
 
   // Activate this map's transient bit-flips for injection event `step`
   // (deterministic in the fault seed and `step`): flips one stored bit of
@@ -282,7 +296,7 @@ class Crossbar {
   std::size_t active_cols() const { return c_; }
   // Collapsed effective differential weights, row-major [r, c] integer
   // levels (scaled by drift/variation where applied).
-  const std::vector<double>& effective_weights() const { return w_eff_; }
+  const WeightBuffer& effective_weights() const { return w_eff_; }
 
   // Fault-tolerance introspection.
   const device::FaultMap& fault_map() const { return fault_map_; }
@@ -292,32 +306,43 @@ class Crossbar {
  private:
   static constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
 
-  // One logical column's trial programming: levels and defects are packed
-  // by (slice * 2 + polarity) * r_ + i so a failed spare attempt can be
-  // discarded without disturbing the committed array state.
-  struct ColumnProgram {
-    std::vector<double> levels;
-    std::vector<std::size_t> defects;
+  // A cell that failed write-verify: logical column, level plane
+  // (slice * 2 + polarity) and row.
+  struct Defect {
+    std::size_t col, plane, row;
   };
 
-  ColumnProgram program_column(const Tensor& weights,
-                               const device::LinearQuantizer& wq,
-                               std::size_t j, std::size_t phys_col,
-                               double slice_max, const ProgramOptions& opts);
+  // Writes the quantized, bit-sliced targets of logical columns
+  // [j0, j0 + ncols) into `lv`, cell (plane, i, jr) at
+  // lv[plane * plane_stride + i * row_stride + jr]: both polarities of every
+  // cell, the unused one 0.
+  void fill_targets(const Tensor& weights, const device::LinearQuantizer& wq,
+                    std::size_t j0, std::size_t ncols, double* lv,
+                    std::size_t row_stride, std::size_t plane_stride) const;
+  // Runs the write-verify pulse loop over the filled targets of logical
+  // columns [j0, j0 + ncols) backed by physical bitlines phys0 + (j - j0),
+  // on exactly the cells whose readback can differ from their target, and
+  // appends the cells left defective in visit order (see DESIGN.md §11).
+  void pulse_cells(std::size_t j0, std::size_t ncols, std::size_t phys0,
+                   double* lv, std::size_t row_stride,
+                   std::size_t plane_stride, double slice_max,
+                   const ProgramOptions& opts, std::vector<Defect>& defects);
   double program_cell(device::FaultType fault, double target, double slice_max,
                       const ProgramOptions& opts, bool& defective);
-  void store_column(const ColumnProgram& cp, std::size_t j);
   void rebuild_w_eff();
   void compute_bit_serial(const std::int64_t* x_int, double* acc);
 
   CrossbarConfig config_;
   std::size_t r_ = 0, c_ = 0;
   double w_max_ = 0.0;
-  // Effective per-cell levels: [slice][polarity(0=pos,1=neg)][r * c_],
-  // indexed by *logical* column regardless of remapping.
-  std::vector<std::vector<std::vector<double>>> levels_;
-  // Collapsed differential weights [r * c_]; see header comment.
-  std::vector<double> w_eff_;
+  // Effective per-cell levels, one flat buffer of planes
+  // [slice][polarity(0=pos,1=neg)][r * c_] (plane (s * 2 + p) starts at
+  // (s * 2 + p) * r * c_), indexed by *logical* column regardless of
+  // remapping. Reprogramming reuses the allocation.
+  std::vector<double> levels_;
+  // Collapsed differential weights [r * c_]; see header comment. Cache-line
+  // aligned so the read kernels' speed does not hinge on heap placement.
+  WeightBuffer w_eff_;
   device::FaultMap fault_map_;
   std::vector<std::size_t> col_phys_;   // logical column -> physical bitline
   std::vector<std::size_t> phys_owner_; // physical bitline -> logical column

@@ -23,6 +23,8 @@ void CrossbarGrid::program(const Tensor& weights, double w_max,
 void CrossbarGrid::program(const Tensor& weights, double w_max,
                            const ProgramOptions& opts) {
   RERAMDL_CHECK_EQ(weights.shape().rank(), 2u);
+  RERAMDL_TRACE_SCOPE("xbar.program", "circuit");
+  obs::ScopedHistogramTimer obs_timer("xbar.program_ns");
   total_rows_ = weights.shape()[0];
   total_cols_ = weights.shape()[1];
   const std::size_t data_cols = config_.data_cols();
@@ -30,21 +32,13 @@ void CrossbarGrid::program(const Tensor& weights, double w_max,
   col_tiles_ = (total_cols_ + data_cols - 1) / data_cols;
   w_max_ = w_max;
 
-  // Expand the fault population once at grid level so each tile gets an
-  // independent per-tile seed below; this also covers the deprecated
-  // VariationModel stuck-at shim (whose params carry one seed per model —
-  // without the per-tile mix every tile would repeat the same pattern).
-  device::FaultMapParams base = opts.faults;
-  if (!base.enabled() && opts.variation != nullptr &&
-      opts.variation->has_legacy_faults())
-    base = opts.variation->legacy_fault_params();
-
-  arrays_.clear();
-  arrays_.reserve(row_tiles_ * col_tiles_);
-  for (std::size_t t = 0; t < row_tiles_ * col_tiles_; ++t) {
-    Crossbar xbar(config_);
-    xbar.program(extract_tile(weights, t), w_max, tile_options(opts, base, t));
-    arrays_.push_back(std::move(xbar));
+  // Arrays from an earlier program() are reset and reprogrammed in place,
+  // keeping their level and W_eff allocations; a reset array is
+  // indistinguishable from a freshly constructed one.
+  arrays_.resize(row_tiles_ * col_tiles_, Crossbar(config_));
+  for (std::size_t t = 0; t < arrays_.size(); ++t) {
+    arrays_[t].reset();
+    arrays_[t].program(extract_tile(weights, t), w_max, tile_options(opts, t));
   }
   attribute_program_stats();
 }
@@ -54,13 +48,11 @@ std::size_t CrossbarGrid::tile_fault_salt(std::size_t t) const {
 }
 
 ProgramOptions CrossbarGrid::tile_options(const ProgramOptions& opts,
-                                          const device::FaultMapParams& base,
                                           std::size_t t) const {
   ProgramOptions tile_opts = opts;
-  tile_opts.faults = base;
-  if (base.enabled())
+  if (opts.faults.enabled())
     tile_opts.faults.seed =
-        device::FaultMap::mix_seed(base.seed, tile_fault_salt(t) + 1);
+        device::FaultMap::mix_seed(opts.faults.seed, tile_fault_salt(t) + 1);
   return tile_opts;
 }
 
@@ -73,9 +65,10 @@ Tensor CrossbarGrid::extract_tile(const Tensor& weights, std::size_t t) const {
   const std::size_t c0 = ct * data_cols;
   const std::size_t c1 = std::min(c0 + data_cols, total_cols_);
   Tensor tile(Shape{r1 - r0, c1 - c0});
-  for (std::size_t i = r0; i < r1; ++i)
-    for (std::size_t j = c0; j < c1; ++j)
-      tile.at(i - r0, j - c0) = weights.at(i, j);
+  for (std::size_t i = r0; i < r1; ++i) {
+    const float* src = weights.data() + i * total_cols_;
+    std::copy(src + c0, src + c1, tile.data() + (i - r0) * (c1 - c0));
+  }
   return tile;
 }
 
@@ -91,13 +84,10 @@ std::uint64_t CrossbarGrid::refresh_tile(std::size_t t, const Tensor& weights,
   RERAMDL_CHECK_EQ(weights.shape().rank(), 2u);
   RERAMDL_CHECK_EQ(weights.shape()[0], total_rows_);
   RERAMDL_CHECK_EQ(weights.shape()[1], total_cols_);
-  device::FaultMapParams base = opts.faults;
-  if (!base.enabled() && opts.variation != nullptr &&
-      opts.variation->has_legacy_faults())
-    base = opts.variation->legacy_fault_params();
+  RERAMDL_TRACE_SCOPE("xbar.program", "circuit");
+  obs::ScopedHistogramTimer obs_timer("xbar.program_ns");
   const std::uint64_t before = arrays_[t].stats().programmed_cells;
-  arrays_[t].program(extract_tile(weights, t), w_max_,
-                     tile_options(opts, base, t));
+  arrays_[t].program(extract_tile(weights, t), w_max_, tile_options(opts, t));
   return arrays_[t].stats().programmed_cells - before;
 }
 

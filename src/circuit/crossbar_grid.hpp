@@ -25,8 +25,9 @@ class CrossbarGrid {
   // Full programming path: each tile programs with `opts`, its fault seed
   // derived as FaultMap::mix_seed(seed, tile + 1) so tiles carry
   // independent-but-reproducible fault populations from one campaign seed.
-  // A VariationModel carrying legacy stuck-at rates is expanded here the
-  // same way, so the deprecated shim also gets distinct per-tile patterns.
+  // Reprogramming a grid reuses its arrays' buffers; every tile's stats and
+  // health restart as if freshly built. Traced as "xbar.program", timed
+  // into the xbar.program_ns histogram (as is refresh_tile).
   void program(const Tensor& weights, double w_max,
                const ProgramOptions& opts);
 
@@ -120,9 +121,7 @@ class CrossbarGrid {
   // Fault-seed salt for logical tile t: its physical slot under the
   // wear-leveling map (identity when unset).
   std::size_t tile_fault_salt(std::size_t t) const;
-  ProgramOptions tile_options(const ProgramOptions& opts,
-                              const device::FaultMapParams& base,
-                              std::size_t t) const;
+  ProgramOptions tile_options(const ProgramOptions& opts, std::size_t t) const;
   Tensor extract_tile(const Tensor& weights, std::size_t t) const;
   // Books programming-time per-tile stats (verify retries, remaps) under
   // the attribution label; called at the end of program().

@@ -9,26 +9,17 @@ namespace reramdl::device {
 VariationModel::VariationModel(VariationParams params, Rng rng)
     : params_(params), rng_(rng) {
   RERAMDL_CHECK_GE(params.sigma, 0.0);
-  RERAMDL_CHECK_GE(params.stuck_at_off_rate, 0.0);
-  RERAMDL_CHECK_GE(params.stuck_at_on_rate, 0.0);
-  RERAMDL_CHECK_LE(params.stuck_at_off_rate + params.stuck_at_on_rate, 1.0);
-  // Reserve one draw for the legacy fault-map seed so the shim is
-  // deterministic per model regardless of how many cells are perturbed.
-  legacy_fault_seed_ = rng_.next_u64();
+  // One draw stays reserved: it used to seed a fault map from stuck-at
+  // rates this struct no longer carries. Skipping it would shift every
+  // later lognormal draw, so every varied run would stop reproducing its
+  // recorded levels and results.
+  (void)rng_.next_u64();
 }
 
 double VariationModel::perturb(double ideal_level, double max_level) {
   double level = ideal_level;
   if (params_.sigma > 0.0) level *= rng_.lognormal_unit_mean(params_.sigma);
   return std::clamp(level, 0.0, max_level);
-}
-
-FaultMapParams VariationModel::legacy_fault_params() const {
-  FaultMapParams p;
-  p.stuck_at_off_rate = params_.stuck_at_off_rate;
-  p.stuck_at_on_rate = params_.stuck_at_on_rate;
-  p.seed = legacy_fault_seed_;
-  return p;
 }
 
 }  // namespace reramdl::device

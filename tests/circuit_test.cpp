@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "circuit/activation_lut.hpp"
 #include "circuit/crossbar.hpp"
@@ -157,6 +158,37 @@ TEST(Crossbar, IndivisibleWeightBitsThrow) {
   CrossbarConfig cfg;
   cfg.weight_bits = 10;  // not a multiple of 4 bits/cell
   EXPECT_THROW(Crossbar{cfg}, CheckError);
+}
+
+TEST(Crossbar, OutOfRangeBitWidthsThrowNamingTheField) {
+  // 64 / 64 divides evenly (one slice), so only the range check stands
+  // between it and a 64-bit shift in program().
+  for (std::size_t bits : {0u, 32u, 64u}) {
+    for (const char* field : {"weight_bits", "input_bits"}) {
+      CrossbarConfig cfg;
+      if (std::string(field) == "weight_bits") {
+        cfg.weight_bits = bits;
+        if (bits > 0) cfg.cell.bits_per_cell = bits;
+      } else {
+        cfg.input_bits = bits;
+      }
+      try {
+        Crossbar xbar(cfg);
+        ADD_FAILURE() << field << "=" << bits << " was accepted";
+      } catch (const CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("CrossbarConfig.") + field),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("[1, 31]"), std::string::npos) << what;
+      }
+    }
+  }
+  CrossbarConfig edge;
+  edge.weight_bits = 31;
+  edge.cell.bits_per_cell = 31;
+  edge.input_bits = 31;
+  EXPECT_NO_THROW(Crossbar{edge});
 }
 
 TEST(Crossbar, VariationShiftsResults) {

@@ -146,7 +146,8 @@ TEST(FaultMap, DisabledMapIsEmpty) {
 
 // ---- Crossbar programming paths ----------------------------------------------
 
-double l1_distance(const std::vector<double>& a, const std::vector<double>& b) {
+double l1_distance(const Crossbar::WeightBuffer& a,
+                   const Crossbar::WeightBuffer& b) {
   EXPECT_EQ(a.size(), b.size());
   double d = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) d += std::abs(a[i] - b[i]);
@@ -330,23 +331,6 @@ TEST(CrossbarFaults, FailFastThrowsWhenSparesExhausted) {
   opts.write_verify = true;
   opts.degrade = DegradePolicy::kFailFast;
   EXPECT_THROW(xb.program(w, 1.0, opts), CheckError);
-}
-
-TEST(CrossbarFaults, LegacyVariationStuckRatesSeedTheFaultMap) {
-  // Deprecated shim: stuck rates on VariationParams still inject faults,
-  // now visible in the stats instead of hidden inside perturb().
-  Rng rng(28);
-  const Tensor w = Tensor::uniform(Shape{64, 64}, rng, -1.0f, 1.0f);
-  device::VariationParams vp;
-  vp.stuck_at_off_rate = 0.01;
-  vp.stuck_at_on_rate = 0.01;
-  device::VariationModel vm(vp, Rng(29));
-  CrossbarConfig cfg;
-  cfg.rows = cfg.cols = 64;
-  Crossbar xb(cfg);
-  xb.program(w, 1.0, &vm);  // legacy signature
-  EXPECT_TRUE(xb.fault_map().enabled());
-  EXPECT_GT(xb.stats().stuck_cells, 0u);
 }
 
 TEST(CrossbarFaults, InjectAtIsDeterministicAndPersistent) {

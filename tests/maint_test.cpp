@@ -127,7 +127,7 @@ TEST_F(MaintTest, GridRefreshTileRestoresLevelsBitwise) {
   opts.faults.seed = 64;
   grid.program(w, 1.0, opts);
   ASSERT_EQ(grid.num_arrays(), 4u);
-  const std::vector<double> pristine2 = grid.array(2).effective_weights();
+  const auto pristine2 = grid.array(2).effective_weights();
 
   // Damage tile 2 (drift + flips), then refresh it in place.
   grid.apply_drift_tile(2, 0.9);
@@ -137,7 +137,7 @@ TEST_F(MaintTest, GridRefreshTileRestoresLevelsBitwise) {
 
   const std::uint64_t cells = grid.refresh_tile(2, w, opts);
   EXPECT_GT(cells, 0u);
-  const std::vector<double>& after = grid.array(2).effective_weights();
+  const auto& after = grid.array(2).effective_weights();
   ASSERT_EQ(after.size(), pristine2.size());
   for (std::size_t i = 0; i < after.size(); ++i)
     EXPECT_EQ(after[i], pristine2[i]);
@@ -237,7 +237,7 @@ TEST_F(MaintTest, ScrubDetectsInjectedFaultsAndRepairs) {
   ProgramOptions opts = maint_opts(73);
   opts.faults.transient_flip_rate = 0.02;
   core::CrossbarExecutor exec(*net, accel_config(), opts);
-  std::vector<std::vector<double>> pristine;
+  std::vector<circuit::Crossbar::WeightBuffer> pristine;
   for (std::size_t g = 0; g < exec.num_grids(); ++g)
     for (std::size_t t = 0; t < exec.grid(g).num_arrays(); ++t)
       pristine.push_back(exec.grid(g).array(t).effective_weights());
